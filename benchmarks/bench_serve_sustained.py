@@ -13,10 +13,8 @@ The harness is built so the cell measures the gateway, not the feeder:
   clone (~0.6 µs) instead of ``dataclasses.replace`` (~4 µs — it would
   dominate the loop).  Each clone gets a fresh ``query_id`` (hold
   allocation tags are keyed by id, so ids must never repeat within a
-  cell) and a minutely perturbed ``selectivity`` so the legacy engine's
-  per-pair latency cache sees an always-fresh key, exactly as it does
-  on live traffic — a recycled pool would otherwise warm that cache and
-  inflate the baseline.
+  cell) and a minutely perturbed ``selectivity``, as live traffic draws
+  a fresh selectivity per query.
 * Decisions resolve a two-method future stand-in (the admission worker
   only ever calls ``done()`` and ``set_result()``) that stamps the
   decision time; real ``asyncio.Future`` callback machinery costs more
@@ -30,11 +28,9 @@ The harness is built so the cell measures the gateway, not the feeder:
 
 Cells
 -----
-* ``legacy`` — the original per-pair prefilter, recorded as the in-run
-  reference point.
 * ``batch @ 16/256/1024`` — the stacked screening kernel
   (:mod:`repro.serve.screenpool`) across micro-batch sizes.  The kernel
-  is decision-identical to ``legacy`` (pinned by
+  is decision-identical to ``ClusterState.can_serve_mask`` (pinned by
   ``tests/serve/test_screenpool.py``); only the screen's cost differs.
 * optionally ``pool @ N`` (``REPRO_SERVE_SCREEN_WORKERS=N``) — the
   prefork screening pool, recorded for the shared-memory/IPC cost
@@ -47,9 +43,8 @@ credits), and a capability bench wants the unthrottled figure.
 The acceptance gate is *absolute*: the best batch cell must sustain at
 least ``REPRO_SUSTAINED_MIN_SPEEDUP`` (default 4×) the recorded
 23,503 decisions/s drain-mode baseline (``results/serve.json``,
-drain @ 16, pre-kernel gateway).  The in-run legacy cell is reported
-alongside for a same-machine comparison.  See the "Serving throughput"
-section of ``docs/performance.md``.
+drain @ 16, pre-kernel gateway).  See the "Serving throughput" section
+of ``docs/performance.md``.
 
 Environment knobs (CI runs a reduced scale):
 ``REPRO_SUSTAINED_SECONDS`` (measured window per cell, default 3.0),
@@ -127,9 +122,8 @@ def _clone(query: Query, query_id: int) -> Query:
     ``dataclasses.replace`` would re-run validation (~4 µs); a
     ``__dict__`` copy keeps the feeder out of the measurement.  The
     selectivity perturbation (≤ 1e-12 relative per id — far below any
-    deadline margin) guarantees the legacy latency cache never sees a
-    repeated key, matching live traffic where every query draws a fresh
-    alpha.
+    deadline margin) matches live traffic, where every query draws a
+    fresh alpha.
     """
     clone = object.__new__(Query)
     fields = clone.__dict__
@@ -145,7 +139,6 @@ async def _sustained_cell(
     base_queries: list[Query],
     *,
     label: str,
-    engine: str,
     max_batch: int,
     workers: int = 1,
 ) -> dict:
@@ -161,7 +154,6 @@ async def _sustained_cell(
             max_batch=max_batch,
             queue_bound=QUEUE_BOUND,
             hold_factor=1e6,  # holds never release: pure admission path
-            screen_engine=engine,
             screen_workers=workers,
         ),
     )
@@ -240,7 +232,6 @@ async def _sustained_cell(
     batches = gateway.counters["batches"]
     return {
         "cell": label,
-        "engine": engine,
         "max_batch": max_batch,
         "screen_workers": workers,
         "duration_s": duration,
@@ -272,16 +263,15 @@ def test_serve_sustained_throughput(benchmark, results_dir):
     base_queries = [factory.make() for _ in range(QUERY_POOL)]
 
     cells = [
-        ("legacy @ 16", dict(engine="legacy", max_batch=16)),
-        ("batch @ 16", dict(engine="batch", max_batch=16)),
-        ("batch @ 256", dict(engine="batch", max_batch=256)),
-        ("batch @ 1024", dict(engine="batch", max_batch=1024)),
+        ("batch @ 16", dict(max_batch=16)),
+        ("batch @ 256", dict(max_batch=256)),
+        ("batch @ 1024", dict(max_batch=1024)),
     ]
     if SCREEN_WORKERS > 1:
         cells.append(
             (
                 f"pool @ {SCREEN_WORKERS}x256",
-                dict(engine="batch", max_batch=256, workers=SCREEN_WORKERS),
+                dict(max_batch=256, workers=SCREEN_WORKERS),
             )
         )
 
@@ -302,13 +292,9 @@ def test_serve_sustained_throughput(benchmark, results_dir):
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    legacy = next(r for r in rows if r["engine"] == "legacy")
-    batch_rows = [
-        r for r in rows if r["engine"] == "batch" and r["screen_workers"] == 1
-    ]
+    batch_rows = [r for r in rows if r["screen_workers"] == 1]
     best = max(batch_rows, key=lambda r: r["throughput_rps"])
     speedup = best["throughput_rps"] / BASELINE_RPS
-    speedup_vs_legacy = best["throughput_rps"] / legacy["throughput_rps"]
 
     lines = [
         "=== sustained admission throughput "
@@ -324,8 +310,7 @@ def test_serve_sustained_throughput(benchmark, results_dir):
         )
     lines.append(
         f"best batch cell: {best['cell']} at {best['throughput_rps']:.0f} rps "
-        f"= {speedup:.1f}x the recorded {BASELINE_RPS:.0f} rps baseline "
-        f"({speedup_vs_legacy:.1f}x the in-run legacy cell)"
+        f"= {speedup:.1f}x the recorded {BASELINE_RPS:.0f} rps baseline"
     )
     host_cpus = os.cpu_count() or 1
     if SCREEN_WORKERS > 1 and host_cpus < 2:
@@ -341,26 +326,15 @@ def test_serve_sustained_throughput(benchmark, results_dir):
         "warmup_s": WARMUP_S,
         "rounds": ROUNDS,
         "baseline_recorded_rps": BASELINE_RPS,
-        "legacy_rps": legacy["throughput_rps"],
         "best_rps": best["throughput_rps"],
         "best_cell": best["cell"],
         "speedup": speedup,
-        "speedup_vs_legacy": speedup_vs_legacy,
         "cells": rows,
     }
     (results_dir / "serve_sustained.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
 
-    # Decision sanity across cells: every cell replays the same
-    # deterministic query stream (same pool, same id order, no
-    # releases), so admissions are a monotone function of how many
-    # decisions a cell got through — a cell that processed at least as
-    # many queries must have admitted at least as many.  (Exact
-    # per-query parity is pinned by tests/serve/test_screenpool.py.)
-    for r in rows:
-        if r["admitted"] + r["rejected"] >= legacy["admitted"] + legacy["rejected"]:
-            assert r["admitted"] >= legacy["admitted"]
     # The acceptance gate: the stacked kernel sustains >= MIN_SPEEDUP x
     # the recorded pre-kernel drain baseline on this machine.
     assert speedup >= MIN_SPEEDUP, (

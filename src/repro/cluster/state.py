@@ -394,17 +394,29 @@ class ClusterState:
             return False
         return self.meets_deadline(query, dataset, node)
 
-    def can_serve_mask(self, query: Query, dataset: Dataset) -> np.ndarray:
+    def can_serve_mask(
+        self,
+        query: Query,
+        dataset: Dataset,
+        available: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Vectorised :meth:`can_serve` over all placement nodes.
 
         Element ``i`` equals ``can_serve(query, dataset, placement_nodes[i])``
         — the same capacity epsilon, replica-slot rule (``has ∨ can_place``
         collapses to ``has ∨ slots-remain``) and deadline comparison, each
         evaluated as one array pass.
+
+        ``available`` is a caller-held :meth:`available_array` (e.g. one
+        vector shared across several probes); it must still equal the
+        live vector, which is rebuilt when omitted.
         """
         inst = self.instance
         d_id = dataset.dataset_id
-        mask = self.can_fit_mask(self.compute_demand(query, dataset))
+        if available is None:
+            available = self.available_array()
+        demand = self.compute_demand(query, dataset)
+        mask = demand <= available + _EPS * inst.capacities
         holders = self.replicas.nodes(d_id)
         if self.replicas.remaining_slots(d_id) <= 0:
             has_replica = np.zeros(inst.num_placement_nodes, dtype=bool)

@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
+
+import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.core.greedy import (
@@ -81,6 +83,7 @@ __all__ = [
     "OnlineOutcome",
     "OnlineReport",
     "OnlineSession",
+    "admit",
     "appro_rule",
     "greedy_rule",
     "ship_greedy_rule",
@@ -96,6 +99,53 @@ class PlacementRule(Protocol):
     ) -> Assignment | None:
         """Serve the pair now, or return ``None`` to refuse."""
         ...
+
+
+def admit(
+    state: ClusterState,
+    rule: PlacementRule,
+    query: Query,
+    dataset_ids: Sequence[int],
+    *,
+    available: np.ndarray | None = None,
+    probe: bool = True,
+) -> tuple[Assignment, ...] | None:
+    """All-or-nothing admission of ``query``'s ``dataset_ids`` pairs.
+
+    A vectorised pre-probe runs first: a pair with no servable node now
+    cannot gain one inside the transaction (capacity only shrinks,
+    replica slots are per-dataset and ``dataset_ids`` has no
+    duplicates), and ``serve`` enforces exactly the ``can_serve``
+    conditions — so when any pair has an all-false
+    :meth:`~repro.cluster.state.ClusterState.can_serve_mask`, the
+    admission is doomed and the rule/transaction machinery is skipped.
+    Otherwise ``rule`` places each pair inside one
+    :meth:`~repro.cluster.state.ClusterState.transaction`, committed only
+    if every pair is placed.
+
+    ``available`` is a caller-held available-compute vector shared across
+    the probes (rebuilt when omitted); ``probe=False`` skips the probe
+    when the caller holds a still-exact screen verdict — the rule stays
+    the authoritative check.  Returns the assignments in ``dataset_ids``
+    order, or ``None`` with every partial placement rolled back.
+    """
+    instance = state.instance
+    if probe:
+        if available is None:
+            available = state.available_array()
+        for d_id in dataset_ids:
+            dataset = instance.dataset(d_id)
+            if not state.can_serve_mask(query, dataset, available).any():
+                return None
+    assignments: list[Assignment] = []
+    with state.transaction() as txn:
+        for d_id in dataset_ids:
+            a = rule(state, query, d_id)
+            if a is None:
+                return None  # uncommitted: the transaction rolls back
+            assignments.append(a)
+        txn.commit()
+    return tuple(assignments)
 
 
 def appro_rule(
@@ -419,33 +469,9 @@ class OnlineSession:
         def on_arrival(query: Query) -> None:
             if injector is not None:
                 injector.note_arrival(state.has_down_nodes)
-            assignments: list[Assignment] = []
-            failed = False
             with obs.time("online.admission_s"):
-                # Vectorised pre-probe: a pair with no servable node now
-                # cannot gain one inside the transaction (capacity only
-                # shrinks, replica slots are per-dataset and ``demanded``
-                # has no duplicates), and ``serve`` enforces exactly the
-                # ``can_serve`` conditions — so when any demanded pair has
-                # an all-false mask, the all-or-nothing admission is doomed
-                # and the rule/transaction machinery can be skipped.
-                for d_id in query.demanded:
-                    if not state.can_serve_mask(
-                        query, instance.dataset(d_id)
-                    ).any():
-                        failed = True
-                        break
-                if not failed:
-                    with state.transaction() as txn:
-                        for d_id in query.demanded:
-                            a = rule(state, query, d_id)
-                            if a is None:
-                                failed = True
-                                break
-                            assignments.append(a)
-                        if not failed:
-                            txn.commit()
-            if failed:
+                admitted = admit(state, rule, query, query.demanded)
+            if admitted is None:
                 obs.inc("online.rejected")
                 # Replicas placed during the failed probe are rolled back
                 # with the transaction for *all* rules — the online setting
@@ -456,16 +482,16 @@ class OnlineSession:
                 return
             obs.inc("online.admitted")
             peak[0] = max(peak[0], state.total_allocated())
-            response = max(a.latency_s for a in assignments)
+            response = max(a.latency_s for a in admitted)
             hold = response * self.config.hold_factor
             if injector is None and dynamics is None:
-                for a in assignments:
+                for a in admitted:
                     sim.schedule_in(hold, lambda a=a: state.release(a))
             else:
                 if injector is not None:
                     injector.note_admission(state.has_down_nodes)
                 active[query.query_id] = _ActiveQuery(
-                    query, {a.dataset_id: a for a in assignments}
+                    query, {a.dataset_id: a for a in admitted}
                 )
                 sim.schedule_in(hold, lambda q=query.query_id: finish(q))
             volume = query.demanded_volume(instance.datasets)

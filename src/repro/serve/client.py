@@ -186,8 +186,7 @@ class GatewayClient:
         screen = payload.get("screen")
         if isinstance(screen, dict):
             lines.append(
-                f"screen: engine={screen.get('engine', '-')} "
-                f"workers={screen.get('workers', '-')} "
+                f"screen: workers={screen.get('workers', '-')} "
                 f"stale_rescreens={screen.get('stale_rescreens', 0)}"
             )
             for stage in ("screen_s", "commit_s"):

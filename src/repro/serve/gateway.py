@@ -16,7 +16,7 @@ serviceable under heavy traffic:
   (reject-newest with a ``retry_after_s`` hint derived from queue depth ×
   the observed per-request admission time) once the queue is full or
   allocated compute crosses ``compute_watermark``; queries whose deadline
-  is infeasible at *every* node are fast-rejected from the cached latency
+  is infeasible at *every* node are fast-rejected from their pair-latency
   vectors before they ever occupy a queue slot;
 * **snapshot persistence** — the state (node ledgers, replicas,
   liveness) is checkpointed atomically every
@@ -25,9 +25,10 @@ serviceable under heavy traffic:
   :class:`~repro.cluster.state.ClusterState` and re-arms a bounded
   recovery hold for every restored allocation.
 
-Admission itself is exactly the online session's rule: a vectorised
-pre-probe (any demanded pair with an all-false feasibility mask dooms the
-all-or-nothing admission), then the placement rule inside a transaction.
+Admission itself is the online session's core,
+:func:`repro.core.online.admit`: a vectorised pre-probe (any demanded
+pair with an all-false feasibility mask dooms the all-or-nothing
+admission), then the placement rule inside a transaction.
 Admitted queries hold their compute for ``hold_factor ×`` their analytic
 response latency of wall-clock time, then release.
 """
@@ -38,21 +39,22 @@ import asyncio
 import concurrent.futures
 import contextlib
 import json
+import logging
 import math
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.cluster.node import CapacityError, _EPS
+from repro.cluster.node import CapacityError
 from repro.cluster.state import ClusterState, Reservation
 from repro.core.instance import ProblemInstance
 from repro.core.online import (
     PlacementRule,
+    admit,
     appro_rule,
     greedy_rule,
     ship_greedy_rule,
@@ -97,8 +99,15 @@ __all__ = [
 
 _FORMAT_CHECKPOINT = "repro/serve-checkpoint/v1"
 
-#: Screening engines a gateway can run, by config name.
-_ENGINES = ("batch", "legacy")
+_log = logging.getLogger(__name__)
+
+#: Forced-cycle protocol ops of the background daemons: op → (gateway
+#: attribute holding the daemon, error message while it is disabled).
+_DAEMON_OPS = {
+    "reopt": ("reoptimizer", "re-optimizer not enabled"),
+    "predict": ("preplacer", "predictor not enabled"),
+    "netfault": ("netfaults", "network dynamics not enabled"),
+}
 
 #: Pool screens re-run after a generation mismatch before the loop gives
 #: up and screens inline against the live state.
@@ -233,15 +242,10 @@ class GatewayConfig:
         default) disables the daemon entirely — paths are never
         recomputed, the path-cache generation stays 0, and the gateway
         behaves byte-for-byte like the pre-dynamics service.
-    screen_engine:
-        Batch feasibility screen implementation: ``"batch"`` (default)
-        runs the stacked screening kernel of
-        :mod:`repro.serve.screenpool` — one fancy-indexed latency matrix
-        per micro-batch, decision-identical to the original per-pair
-        prefilter (pinned by the parity suites); ``"legacy"`` retains
-        that original prefilter verbatim as the bit-parity reference.
     screen_workers:
-        Screening parallelism.  ``1`` (default) screens inline on the
+        Parallelism of the batch feasibility screen (the stacked kernel
+        of :mod:`repro.serve.screenpool`, one fancy-indexed latency
+        matrix per micro-batch).  ``1`` (default) screens inline on the
         event loop; ``> 1`` preforks that many
         :class:`~repro.serve.screenpool.ScreenPool` worker processes
         screening micro-batch shards against shared-memory state views.
@@ -284,7 +288,6 @@ class GatewayConfig:
     reopt: ReoptimizerConfig | None = None
     predict: PreplacerConfig | None = None
     netfaults: NetFaultConfig | None = None
-    screen_engine: str = "batch"
     screen_workers: int = 1
     use_uvloop: bool = False
     shard_nodes: tuple[int, ...] | None = None
@@ -306,17 +309,7 @@ class GatewayConfig:
             raise ValidationError(
                 f"compute_watermark must be in (0, 1], got {self.compute_watermark}"
             )
-        if self.screen_engine not in _ENGINES:
-            raise ValidationError(
-                f"unknown screen_engine {self.screen_engine!r} "
-                f"(expected one of {list(_ENGINES)})"
-            )
         check_positive("screen_workers", self.screen_workers)
-        if self.screen_engine == "legacy" and self.screen_workers > 1:
-            raise ValidationError(
-                "screen_workers > 1 requires the 'batch' screen_engine "
-                "(the pool runs the batch kernel)"
-            )
         check_positive("reserve_ttl_s", self.reserve_ttl_s)
         if self.reopt is not None and self.shard_nodes is not None:
             raise ValidationError(
@@ -398,25 +391,13 @@ class AdmissionGateway:
             "batches": 0,
             "checkpoints": 0,
         }
-        # Cached pair-latency vectors keyed by (dataset, home, selectivity):
-        # state-independent, so they survive any amount of churn.  Zipf
-        # traffic repeats keys heavily, which is what makes the SLO
-        # fast-reject and the admission probe cheap at p99.  The cache is
-        # additionally stamped with the path-cache generation: a network
-        # dynamics recompute bumps the generation and the next probe
-        # rebuilds from the degraded delays (generation 0 forever — and
-        # hence the original behaviour — without the dynamics daemon).
-        self._latency_cache: dict[tuple[int, int, float], np.ndarray] = {}
-        self._latency_generation = instance.paths.generation
-        self._statics: ScreenStatics | None = (
-            ScreenStatics.from_instance(instance, shard_nodes=self.shard_nodes)
-            if self.config.screen_engine == "batch"
-            else None
+        self._statics = ScreenStatics.from_instance(
+            instance, shard_nodes=self.shard_nodes
         )
         self._pool: ScreenPool | None = None
         # Stale-view re-screens live outside ``counters`` on purpose:
         # checkpoints serialise ``counters`` and must stay byte-identical
-        # across engines.
+        # whether or not a screening pool runs.
         self.screen_stale_rescreens = 0
         self._screen_s = Summary()
         self._commit_s = Summary()
@@ -549,7 +530,6 @@ class AdmissionGateway:
         """Bind the listener and spawn the worker/checkpoint tasks."""
         self._started_at = time.perf_counter()
         if self.config.screen_workers > 1 and self._pool is None:
-            assert self._statics is not None  # enforced by GatewayConfig
             self._pool = ScreenPool(self._statics, self.config.screen_workers)
             self._pool.start()
         # The reader limit matches the protocol's hard line bound, so an
@@ -605,7 +585,7 @@ class AdmissionGateway:
                 except Exception:
                     # A background task that already died must not wedge
                     # shutdown — record it and keep tearing down.
-                    traceback.print_exc()
+                    _log.exception("gateway background task crashed")
                     self.counters["task_crashes"] += 1
                     get_registry().inc("serve.task_crashes")
             self._tasks.clear()
@@ -667,17 +647,16 @@ class AdmissionGateway:
     def refresh_network_statics(self) -> bool:
         """Rebuild latency-derived statics after a path recompute.
 
-        Called by the dynamics daemon once per epoch bump.  The cached
-        latency vectors invalidate lazily (generation check in
-        :meth:`_latency_vector`); the screening statics rebuild eagerly
+        Called by the dynamics daemon once per epoch bump.  Pair-latency
+        vectors need nothing (the instance memoises its delay vectors on
+        the path-cache generation); the screening statics rebuild eagerly
         because pool workers hold them by value — when a pool is live it
         is restarted over the new tables.  Returns whether a pool
         restart happened.
         """
-        if self._statics is not None:
-            self._statics = ScreenStatics.from_instance(
-                self.instance, shard_nodes=self.shard_nodes
-            )
+        self._statics = ScreenStatics.from_instance(
+            self.instance, shard_nodes=self.shard_nodes
+        )
         if self._pool is not None:
             self._pool.close()
             self._pool = ScreenPool(self._statics, self.config.screen_workers)
@@ -685,132 +664,27 @@ class AdmissionGateway:
             return True
         return False
 
-    def _latency_vector(self, query: Query, dataset_id: int) -> np.ndarray:
-        """Cached analytic pair-latency vector (placement order)."""
-        generation = self.instance.paths.generation
-        if generation != self._latency_generation:
-            self._latency_cache.clear()
-            self._latency_generation = generation
-        alpha = query.alpha_for(dataset_id)
-        key = (dataset_id, query.home_node, alpha)
-        vec = self._latency_cache.get(key)
-        if vec is None:
-            vec = self.instance.pair_latency_vector(
-                query, self.instance.dataset(dataset_id)
-            )
-            vec.flags.writeable = False
-            self._latency_cache[key] = vec
-        return vec
-
     def _deadline_infeasible(self, query: Query) -> bool:
         """SLO fast-reject: some demanded pair misses its deadline at
         *every* placement node — state-free, so no queueing is needed."""
+        inst = self.instance
         return any(
-            float(self._latency_vector(query, d_id).min()) > query.deadline_s
+            float(inst.pair_latency_vector(query, inst.dataset(d_id)).min())
+            > query.deadline_s
             for d_id in query.demanded
         )
 
-    def _probe_mask(
-        self, query: Query, dataset_id: int, available: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`ClusterState.can_serve_mask` with a caller-held
-        available-compute vector (shared across a batch) and the cached
-        latency vector — element-for-element identical (pinned by
-        ``tests/serve/test_gateway.py``)."""
-        state, inst = self.state, self.instance
-        dataset = inst.dataset(dataset_id)
-        demand = dataset.volume_gb * query.compute_rate
-        mask = demand <= available + _EPS * inst.capacities
-        holders = state.replicas.nodes(dataset_id)
-        if state.replicas.remaining_slots(dataset_id) <= 0:
-            has_replica = np.zeros(inst.num_placement_nodes, dtype=bool)
-            if holders:
-                node_index = inst.node_index
-                has_replica[[node_index[v] for v in holders]] = True
-            mask &= has_replica
-        if state.has_down_nodes:
-            mask &= state.up_mask()
-            if not state.has_live_copy(dataset_id):
-                mask &= False
-        return mask & (self._latency_vector(query, dataset_id) <= query.deadline_s)
+    async def _screen(self, batch: list[_Pending]) -> list[bool]:
+        """Batch feasibility screen with the stacked kernel.
 
-    def _dataset_gate(self, dataset_id: int) -> np.ndarray | None:
-        """Replica-slot + liveness node gate for one dataset.
-
-        ``None`` means every node passes (slots remain, no nodes down) —
-        the common case, kept allocation-free.
+        Runs inline (synchronously, preserving the no-mid-batch-mutation
+        invariant) for ``screen_workers == 1``, or through the prefork
+        pool otherwise; both produce the same verdicts for the same state
+        (pinned by the parity suites).  Feasibility only *shrinks* while
+        the batch is served (admissions consume capacity and replica
+        slots; releases cannot fire mid-batch), so a ``False`` is exact,
+        while a ``True`` is optimistic and is re-checked on admission.
         """
-        state, inst = self.state, self.instance
-        gate: np.ndarray | None = None
-        if state.replicas.remaining_slots(dataset_id) <= 0:
-            gate = np.zeros(inst.num_placement_nodes, dtype=bool)
-            holders = state.replicas.nodes(dataset_id)
-            if holders:
-                gate[[inst.node_index[v] for v in holders]] = True
-        if state.has_down_nodes:
-            up = state.up_mask()
-            gate = up if gate is None else gate & up
-            if not state.has_live_copy(dataset_id):
-                gate = np.zeros(inst.num_placement_nodes, dtype=bool)
-        return gate
-
-    def _prefilter(
-        self, batch: list[_Pending], available: np.ndarray
-    ) -> list[bool]:
-        """Vectorised batch-start feasibility screen.
-
-        All of the batch's (query, dataset) pairs are checked in one
-        stacked pass — capacity, deadline, replica-slot and liveness — so
-        the per-pair numpy call overhead amortises over the batch.  The
-        screen is evaluated against batch-start state: since feasibility
-        only *shrinks* while the batch is served (admissions consume
-        capacity and replica slots; releases cannot fire mid-batch), a
-        ``False`` here is exact, while a ``True`` is optimistic and is
-        re-checked on the admission path.
-        """
-        inst = self.instance
-        pairs: list[tuple[int, int, Query]] = [
-            (i, d_id, pending.query)
-            for i, pending in enumerate(batch)
-            for d_id in pending.query.demanded
-        ]
-        num_nodes = inst.num_placement_nodes
-        latency = np.empty((len(pairs), num_nodes))
-        demand = np.empty(len(pairs))
-        deadline = np.empty(len(pairs))
-        for row, (_, d_id, query) in enumerate(pairs):
-            latency[row] = self._latency_vector(query, d_id)
-            demand[row] = inst.dataset(d_id).volume_gb * query.compute_rate
-            deadline[row] = query.deadline_s
-        node_ok = demand[:, None] <= available[None, :] + _EPS * inst.capacities
-        node_ok &= latency <= deadline[:, None]
-        gates: dict[int, np.ndarray | None] = {}
-        for row, (_, d_id, _query) in enumerate(pairs):
-            if d_id not in gates:
-                gates[d_id] = self._dataset_gate(d_id)
-            if gates[d_id] is not None:
-                node_ok[row] &= gates[d_id]
-        pair_ok = node_ok.any(axis=1)
-        verdict = [True] * len(batch)
-        for row, (i, _d_id, _query) in enumerate(pairs):
-            if not pair_ok[row]:
-                verdict[i] = False
-        return verdict
-
-    async def _screen(
-        self, batch: list[_Pending], available: np.ndarray
-    ) -> list[bool]:
-        """Batch feasibility screen via the configured engine.
-
-        ``legacy`` runs the original per-pair prefilter; ``batch`` runs
-        the stacked kernel — inline (synchronously, preserving the
-        no-mid-batch-mutation invariant) for ``screen_workers == 1``, or
-        through the prefork pool otherwise.  All three produce the same
-        verdicts for the same state (pinned by the parity suites).
-        """
-        if self.config.screen_engine == "legacy":
-            return self._prefilter(batch, available)
-        assert self._statics is not None
         rows = build_rows([p.query for p in batch], self._statics)
         if self._pool is not None:
             verdict = await self._screen_pooled(rows, len(batch))
@@ -855,7 +729,7 @@ class AdmissionGateway:
         A ``None`` second element means state did not change and the
         caller's available vector remains valid for the rest of the batch.
         ``probe=False`` skips the per-pair pre-probe when the caller's
-        batch prefilter verdict is still exact (no mid-batch mutation) —
+        batch screen verdict is still exact (no mid-batch mutation) —
         the placement rule remains the authoritative feasibility check.
         """
         query = pending.query
@@ -870,42 +744,42 @@ class AdmissionGateway:
             self._evict_hold(query.query_id)
             available = fresh = state.available_array()
             probe = True
-        if probe:
-            for d_id in query.demanded:
-                if not self._probe_mask(query, d_id, available).any():
-                    return self._rejected_response(), fresh
-        assignments: list[Assignment] = []
-        failed = False
-        with state.transaction() as txn:
-            for d_id in query.demanded:
-                a = self._rule(state, query, d_id)
-                if a is None:
-                    failed = True
-                    break
-                assignments.append(a)
-            if not failed:
-                txn.commit()
-        if failed:
-            return self._rejected_response(), state.available_array()
+        generation = state.generation
+        assignments = admit(
+            state,
+            self._rule,
+            query,
+            query.demanded,
+            available=available,
+            probe=probe,
+        )
+        if state.generation != generation:  # placed, or rolled back
+            fresh = state.available_array()
+        if assignments is None:
+            return self._rejected_response(), fresh
         response_s = max(a.latency_s for a in assignments)
-        self._arm_hold(query.query_id, tuple(assignments), response_s)
+        self._arm_hold(query.query_id, assignments, response_s)
         self._inflight_homes[query.query_id] = query.home_node
         return (
             {
                 "result": "admitted",
                 "response_s": response_s,
-                "assignments": [
-                    {
-                        "dataset_id": a.dataset_id,
-                        "node": a.node,
-                        "latency_s": a.latency_s,
-                        "compute_ghz": a.compute_ghz,
-                    }
-                    for a in assignments
-                ],
+                "assignments": self._assignment_payload(assignments),
             },
-            state.available_array(),
+            fresh,
         )
+
+    @staticmethod
+    def _assignment_payload(assignments: tuple[Assignment, ...]) -> list[dict]:
+        return [
+            {
+                "dataset_id": a.dataset_id,
+                "node": a.node,
+                "latency_s": a.latency_s,
+                "compute_ghz": a.compute_ghz,
+            }
+            for a in assignments
+        ]
 
     def _arm_hold(
         self, q_id: int, assignments: tuple[Assignment, ...], response_s: float
@@ -964,18 +838,6 @@ class AdmissionGateway:
     # state through ``serve()``, which bumps the generation stamp, so a
     # pooled screen that raced one is detected and re-run.
 
-    @staticmethod
-    def _assignment_payload(assignments: tuple[Assignment, ...]) -> list[dict]:
-        return [
-            {
-                "dataset_id": a.dataset_id,
-                "node": a.node,
-                "latency_s": a.latency_s,
-                "compute_ghz": a.compute_ghz,
-            }
-            for a in assignments
-        ]
-
     def _reserve_query(
         self, reservation_id: str, query: Query, dataset_ids: tuple[int, ...]
     ) -> dict[str, Any]:
@@ -996,25 +858,9 @@ class AdmissionGateway:
             # Same latest-wins rule as _admit_one: a live hold under this
             # id would collide with the reserve's allocation tags.
             self._evict_hold(query.query_id)
-        available = state.available_array()
-        for d_id in dataset_ids:
-            if not self._probe_mask(query, d_id, available).any():
-                self.reserve_counters["rejected"] += 1
-                obs.inc("serve.reserve.rejected")
-                return self._rejected_response()
         pre_holders = {d_id: state.replicas.nodes(d_id) for d_id in dataset_ids}
-        assignments: list[Assignment] = []
-        failed = False
-        with state.transaction() as txn:
-            for d_id in dataset_ids:
-                a = self._rule(state, query, d_id)
-                if a is None:
-                    failed = True
-                    break
-                assignments.append(a)
-            if not failed:
-                txn.commit()
-        if failed:
+        assignments = admit(state, self._rule, query, dataset_ids)
+        if assignments is None:
             self.reserve_counters["rejected"] += 1
             obs.inc("serve.reserve.rejected")
             return self._rejected_response()
@@ -1033,7 +879,7 @@ class AdmissionGateway:
             Reservation(
                 reservation_id=reservation_id,
                 query_id=query.query_id,
-                assignments=tuple(assignments),
+                assignments=assignments,
                 placed=placed,
             )
         )
@@ -1043,7 +889,7 @@ class AdmissionGateway:
         obs.inc("serve.reserve.reserved")
         return {
             "result": "reserved",
-            "assignments": self._assignment_payload(tuple(assignments)),
+            "assignments": self._assignment_payload(assignments),
         }
 
     def _arm_reservation_ttl(self, reservation_id: str) -> None:
@@ -1126,24 +972,23 @@ class AdmissionGateway:
             started = time.perf_counter()
             self.counters["batches"] += 1
             obs.observe("serve.batch_size", len(batch))
+            feasible = await self._screen(batch)
+            # Read after the screen: with a pool, holds may have released
+            # while it screened, and the per-item probes need the live
+            # vector.
             available = self.state.available_array()
-            feasible = await self._screen(batch, available)
-            if self._pool is not None:
-                # Holds may have released while the pool screened;
-                # refresh so the per-item probes see the live vector.
-                available = self.state.available_array()
             screened = time.perf_counter()
             mutated = False
             latencies.clear()
-            for pending, prefilter_ok in zip(batch, feasible):
+            for pending, screen_ok in zip(batch, feasible):
                 if self.reoptimizer is not None:
                     self.reoptimizer.observe(pending.query)
                 if self.preplacer is not None:
                     self.preplacer.observe(pending.query)
-                if not prefilter_ok:
+                if not screen_ok:
                     response = self._rejected_response()
                 else:
-                    # The prefilter verdict is exact until an admission
+                    # The screen verdict is exact until an admission
                     # mutates state mid-batch; after that, re-probe.
                     try:
                         response, fresh = self._admit_one(
@@ -1154,7 +999,10 @@ class AdmissionGateway:
                         # (every later submission would then hang): the
                         # transaction rolled its partial effects back,
                         # so answer rejected and keep serving.
-                        traceback.print_exc()
+                        _log.exception(
+                            "admission of query %d failed",
+                            pending.query.query_id,
+                        )
                         self.counters["admit_errors"] += 1
                         obs.inc("serve.admit_errors")
                         response = self._rejected_response()
@@ -1244,7 +1092,10 @@ class AdmissionGateway:
             for task in message_tasks:
                 task.cancel()
             writer.close()
-            with contextlib.suppress(Exception):
+            # Teardown may cancel this handler while it waits here too;
+            # the cancellation must end the handler, not escape into the
+            # stream protocol's done-callback.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     async def _dispatch(
@@ -1294,39 +1145,13 @@ class AdmissionGateway:
             elif op == "snapshot":
                 path = self.checkpoint()
                 await respond({"id": request_id, "ok": True, "path": str(path)})
-            elif op == "reopt":
-                if self.reoptimizer is None:
-                    await respond(
-                        error_response(request_id, "re-optimizer not enabled")
-                    )
+            elif op in _DAEMON_OPS:
+                attribute, disabled = _DAEMON_OPS[op]
+                daemon = getattr(self, attribute)
+                if daemon is None:
+                    await respond(error_response(request_id, disabled))
                     return
-                report = await self.reoptimizer.run_cycle(
-                    force=bool(request.get("force", False))
-                )
-                await respond(
-                    {"id": request_id, "ok": True, **report.to_dict()}
-                )
-            elif op == "predict":
-                if self.preplacer is None:
-                    await respond(
-                        error_response(request_id, "predictor not enabled")
-                    )
-                    return
-                report = await self.preplacer.run_cycle(
-                    force=bool(request.get("force", False))
-                )
-                await respond(
-                    {"id": request_id, "ok": True, **report.to_dict()}
-                )
-            elif op == "netfault":
-                if self.netfaults is None:
-                    await respond(
-                        error_response(
-                            request_id, "network dynamics not enabled"
-                        )
-                    )
-                    return
-                report = await self.netfaults.run_cycle(
+                report = await daemon.run_cycle(
                     force=bool(request.get("force", False))
                 )
                 await respond(
@@ -1408,7 +1233,6 @@ class AdmissionGateway:
             "recovered": self.recovered,
             "counters": dict(self.counters),
             "screen": {
-                "engine": self.config.screen_engine,
                 "workers": self.config.screen_workers,
                 "stale_rescreens": self.screen_stale_rescreens,
                 "screen_s": _summary_payload(self._screen_s),

@@ -12,8 +12,10 @@ that came due, and — when anything changed — recomputes the instance's
 The path recompute bumps the cache's *generation* stamp, which is the
 single invalidation signal every latency consumer observes:
 
-* the gateway's and the front router's cached pair-latency vectors are
-  keyed by generation and rebuild lazily on the next probe;
+* the instance's per-home delay vectors behind ``pair_latency_vector``
+  (read by the gateway's fast-reject and probes and by the front
+  router's classification) are memoised on the generation and rebuild
+  lazily on the next read;
 * the screening pool's :class:`~repro.serve.shm.ScreenStatics` (the
   static home→placement latency matrix forked into the workers) is
   rebuilt eagerly by the daemon, restarting the pool when one is live —

@@ -4,14 +4,14 @@ The router is the thin tier clients talk to when the control plane runs
 as ``N`` shard gateways (:mod:`repro.serve.shard`).  It speaks the same
 newline-delimited JSON protocol as a gateway, holds one pipelined
 :class:`~repro.serve.client.GatewayClient` link per shard, and carries
-*no placement state* — only the instance's static pair-latency vectors
-(the same cache the gateway's fast-reject uses) and the shard membership
+*no placement state* — only the instance's pair-latency vectors (the
+same arithmetic as the gateway's fast-reject) and the shard membership
 map.
 
 Routing one ``submit``
 ----------------------
 For each demanded dataset the router computes the deadline-feasible node
-set from the cached latency vector (state-free, identical to the
+set from the pair-latency vector (state-free, identical to the
 gateway's ``_deadline_infeasible`` arithmetic):
 
 * some dataset has **no** feasible node anywhere → the query is
@@ -167,8 +167,6 @@ class FrontRouter:
             "commit_failures": 0,
             "protocol_errors": 0,
         }
-        self._latency_cache: dict[tuple[int, int, float], np.ndarray] = {}
-        self._latency_generation = instance.paths.generation
         self._links: list[GatewayClient] = []
         self._server: asyncio.AbstractServer | None = None
         self._closed = asyncio.Event()
@@ -239,40 +237,20 @@ class FrontRouter:
 
     # -- routing -----------------------------------------------------------
 
-    def _latency_vector(self, query: Query, dataset_id: int) -> np.ndarray:
-        """Cached analytic pair-latency vector (placement order) — the
-        same cache/arithmetic as the gateway's fast-reject.
-
-        Stamped with the path-cache generation like the gateway's: after
-        a network-dynamics recompute the argmin shard classification is
-        re-derived from the degraded delays instead of routing on stale
-        vectors (generation 0 forever without dynamics)."""
-        generation = self.instance.paths.generation
-        if generation != self._latency_generation:
-            self._latency_cache.clear()
-            self._latency_generation = generation
-        alpha = query.alpha_for(dataset_id)
-        key = (dataset_id, query.home_node, alpha)
-        vec = self._latency_cache.get(key)
-        if vec is None:
-            vec = self.instance.pair_latency_vector(
-                query, self.instance.dataset(dataset_id)
-            )
-            vec.flags.writeable = False
-            self._latency_cache[key] = vec
-        return vec
-
     def _route(self, query: Query) -> int | dict[int, list[int]]:
         """Pick the shard(s) a query must touch.
 
         Returns a single shard id for a direct forward, or a
         ``shard -> dataset_ids`` map (more than one entry) for
         two-phase.  Deterministic: numpy's ``argmin`` breaks latency
-        ties toward the lower placement index.
+        ties toward the lower placement index.  Latencies come from the
+        instance, so a network-dynamics path recompute re-derives the
+        classification from the degraded delays.
         """
+        inst = self.instance
         targets: dict[int, list[int]] = {}
         for d_id in query.demanded:
-            vec = self._latency_vector(query, d_id)
+            vec = inst.pair_latency_vector(query, inst.dataset(d_id))
             feasible = vec <= query.deadline_s
             if not feasible.any():
                 # Deadline-infeasible everywhere: forward whole to the
@@ -524,7 +502,10 @@ class FrontRouter:
             for task in message_tasks:
                 task.cancel()
             writer.close()
-            with contextlib.suppress(Exception):
+            # Teardown may cancel this handler while it waits here too;
+            # the cancellation must end the handler, not escape into the
+            # stream protocol's done-callback.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     async def _dispatch(

@@ -1,14 +1,14 @@
 """Parallel admission screening: the batch kernel and its prefork pool.
 
-The gateway's micro-batch prefilter answers one question per submission:
+The gateway's micro-batch screen answers one question per submission:
 *does any placement node pass capacity + deadline + replica-slot +
 liveness for every demanded pair?*  This module factors that screen into
 
 * :func:`build_rows` / :func:`screen_rows` — a fully vectorised kernel
   over flat ``(query, dataset)`` pair rows.  One fancy-indexed latency
-  matrix replaces the per-pair cached-vector lookups of the in-process
-  prefilter (``AdmissionGateway._prefilter``), to which it is proven
-  element-for-element equal (``tests/serve/test_screenpool.py``);
+  matrix answers the whole batch; per pair it is pinned equal to
+  ``ClusterState.can_serve_mask(query, dataset).any()``
+  (``tests/serve/test_screenpool.py``);
 * :class:`ScreenPool` — a prefork pool of worker processes running that
   kernel over shards of each micro-batch against the zero-copy
   shared-memory views of :mod:`repro.serve.shm`.
@@ -18,8 +18,8 @@ views, return per-pair verdict bits plus the generation stamp they
 screened against, and the single-writer admission loop retains sole
 authority over commits.  A verdict computed against a stale generation is
 re-screened by the caller — the same optimistic-``True`` /
-exact-``False`` contract the serial prefilter has always had, extended
-across processes.
+exact-``False`` contract as the inline screen, extended across
+processes.
 
 Workers are started from :meth:`ScreenPool.start` with the *fork*
 context when the platform offers it (statics are inherited copy-on-write)
@@ -117,12 +117,13 @@ def screen_rows(
 ) -> np.ndarray:
     """Per-pair feasibility verdicts (``bool[R]``) against one view.
 
-    Element-for-element the serial prefilter's verdict: a pair passes iff
-    some placement node simultaneously fits its compute demand (with the
-    scalar check's epsilon slack), meets its deadline, and — when the
-    dataset is out of replica slots or nodes are down — already holds a
-    live copy.  Every float op is the same IEEE expression the cached
-    per-pair vectors evaluate, so the bits agree exactly.
+    Element-for-element ``ClusterState.can_serve_mask(...).any()``: a
+    pair passes iff some placement node simultaneously fits its compute
+    demand (with the scalar check's epsilon slack), meets its deadline,
+    and — when the dataset is out of replica slots or nodes are down —
+    already holds a live copy.  Every float op is the same IEEE
+    expression ``pair_latency_vector`` evaluates, so the bits agree
+    exactly.
     """
     di = rows.dataset_idx
     volumes = statics.volumes_gb[di]

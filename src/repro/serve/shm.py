@@ -1,7 +1,7 @@
 """Zero-copy shared-memory export of the gateway's hot ``ClusterState``.
 
 The screening pool (:mod:`repro.serve.screenpool`) runs the admission
-prefilter in worker *processes*.  Workers must see the arrays the screen
+screen in worker *processes*.  Workers must see the arrays the screen
 reads — free compute per node, replica presence, remaining ``K`` slots,
 and node liveness — without pickling them per batch.  This module maps
 those arrays onto one :class:`multiprocessing.shared_memory.SharedMemory`
@@ -54,8 +54,8 @@ class ScreenStatics:
     ``placement_nodes[i]``); dataset-indexed arrays follow
     ``dataset_ids`` (the instance's sorted dataset ids).  Every element
     is the exact float the scalar accessors return, so screens computed
-    from these tables are bit-identical to the gateway's in-process
-    prefilter.
+    from these tables are bit-identical to
+    ``ClusterState.can_serve_mask``.
     """
 
     dataset_ids: tuple[int, ...]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cluster.state import ClusterState
 from repro.core import OnlineConfig, OnlineSession, appro_rule, greedy_rule
+from repro.core.online import admit
 from repro.experiments.runner import make_instance
 from repro.topology.twotier import TwoTierConfig
 from repro.util.validation import ValidationError
@@ -77,6 +79,54 @@ class TestOnlineSession:
             OnlineConfig(mean_interarrival_s=0.0)
         with pytest.raises(ValidationError):
             OnlineConfig(hold_factor=0.0)
+
+
+class TestAdmitCore:
+    """``admit`` is all-or-nothing over the demanded pairs."""
+
+    @staticmethod
+    def _fingerprint(state):
+        return (
+            state.available_array().tobytes(),
+            {d: frozenset(state.replicas.nodes(d)) for d in state.instance.datasets},
+        )
+
+    def _multi_pair_query(self, instance):
+        """First multi-dataset query an empty cluster admits."""
+        rule = greedy_rule(instance)
+        for query in instance.queries:
+            if len(query.demanded) > 1 and admit(
+                ClusterState(instance), rule, query, query.demanded
+            ):
+                return query
+        pytest.skip("no admissible multi-dataset query in this instance")
+
+    @pytest.mark.parametrize("probe", [True, False])
+    def test_rule_refusal_rolls_back_every_pair(self, instance, probe):
+        query = self._multi_pair_query(instance)
+        rule = greedy_rule(instance)
+        last = query.demanded[-1]
+
+        def refuses_last(state, q, d_id):
+            return None if d_id == last else rule(state, q, d_id)
+
+        state = ClusterState(instance)
+        before = self._fingerprint(state)
+        assert admit(state, refuses_last, query, query.demanded, probe=probe) is None
+        assert self._fingerprint(state) == before
+
+    def test_admitted_pairs_follow_dataset_order(self, instance):
+        query = self._multi_pair_query(instance)
+        state = ClusterState(instance)
+        held = state.available_array()
+        admitted = admit(
+            state, greedy_rule(instance), query, query.demanded, available=held
+        )
+        assert admitted is not None
+        assert [a.dataset_id for a in admitted] == list(query.demanded)
+        assert state.total_allocated() == pytest.approx(
+            sum(a.compute_ghz for a in admitted)
+        )
 
 
 class TestNoFaultParity:

@@ -4,6 +4,7 @@ import asyncio
 import contextlib
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -125,7 +126,9 @@ class TestSubmit:
 
 class TestProbeEquivalence:
     def test_probe_mask_matches_can_serve_mask(self, serve_instance):
-        """The batch-shared probe is element-for-element ``can_serve_mask``."""
+        """The batch-shared probe (``can_serve_mask`` over a held
+        available vector) is element-for-element the self-contained
+        ``can_serve_mask``."""
 
         async def scenario():
             async with running_gateway(serve_instance) as gateway:
@@ -141,7 +144,9 @@ class TestProbeEquivalence:
                         expected = state.can_serve_mask(
                             query, serve_instance.dataset(d_id)
                         )
-                        actual = gateway._probe_mask(query, d_id, available)
+                        actual = state.can_serve_mask(
+                            query, serve_instance.dataset(d_id), available
+                        )
                         assert np.array_equal(actual, expected)
 
         run(scenario())
@@ -437,7 +442,7 @@ class TestIdReuseAndCrashSafety:
         run(first())
         run(replay())
 
-    def test_stop_completes_after_task_crash(self, tiny_instance):
+    def test_stop_completes_after_task_crash(self, tiny_instance, caplog):
         async def scenario():
             async with running_gateway(tiny_instance) as gateway:
 
@@ -450,7 +455,41 @@ class TestIdReuseAndCrashSafety:
                 assert gateway._closed.is_set()
                 assert gateway.counters["task_crashes"] == 1
 
-        run(scenario())
+        with caplog.at_level(logging.ERROR, logger="repro.serve.gateway"):
+            run(scenario())
+        [record] = caplog.records
+        assert record.exc_info[0] is RuntimeError
+
+    def test_poisoned_query_is_logged_and_rejected(self, tiny_instance, caplog):
+        poisoned = dataclasses.replace(tiny_instance.queries[1], query_id=66)
+
+        async def scenario():
+            async with running_gateway(tiny_instance) as gateway:
+                rule = gateway._rule
+
+                def poisoned_rule(state, query, dataset_id):
+                    if query.query_id == poisoned.query_id:
+                        raise RuntimeError("rule blew up")
+                    return rule(state, query, dataset_id)
+
+                gateway._rule = poisoned_rule
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    bad = await client.submit(poisoned)
+                    good = await client.submit(tiny_instance.queries[0])
+                return gateway, bad, good
+
+        with caplog.at_level(logging.ERROR, logger="repro.serve.gateway"):
+            gateway, bad, good = run(scenario())
+        assert bad["ok"] and bad["result"] == "rejected"
+        assert good["result"] == "admitted"
+        assert gateway.counters["admit_errors"] == 1
+        assert gateway.counters["rejected"] == 1
+        assert gateway.counters["admitted"] == 1
+        [record] = caplog.records
+        assert record.levelno == logging.ERROR
+        assert "66" in record.getMessage()
+        assert record.exc_info[0] is RuntimeError
 
 
 class TestLoadGenerators:

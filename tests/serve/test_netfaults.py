@@ -3,9 +3,10 @@
 Covers the daemon cycle machinery (forced cycles, schedule exhaustion,
 partition eviction), the golden disabled-parity pin (a gateway whose
 dynamics never fire is byte-identical — responses, counters, checkpoint
-bytes — to one with no dynamics configured at all), the generation-
-stamped invalidation of the gateway's and the front router's latency
-caches, the mobility trace mode, and the sync-taxed greedy rule.
+bytes — to one with no dynamics configured at all), that the
+gateway's fast-reject and the front router's classification read the
+recomputed delays after an epoch bump, the mobility trace mode, and the
+sync-taxed greedy rule.
 """
 
 import asyncio
@@ -167,7 +168,7 @@ class TestDaemonCycles:
                 async with await GatewayClient.connect(host, port) as client:
                     response = await client.netfault(force=True)
                     assert not response["ok"]
-                    assert "not enabled" in response["error"]
+                    assert response["error"] == "network dynamics not enabled"
 
         run(scenario())
 
@@ -259,23 +260,55 @@ class TestDisabledParity:
         assert nf_ckpt == base_ckpt
 
 
+def _single_pair(query, d_id, deadline_s):
+    """``query`` narrowed to one demanded dataset, with a new deadline."""
+    return dataclasses.replace(
+        query,
+        demanded=(d_id,),
+        selectivity=(query.alpha_for(d_id),),
+        deadline_s=deadline_s,
+    )
+
+
+def _slowed_pair(instance, before):
+    """A (query, dataset) pair whose best latency grew since ``before``."""
+    for query in instance.queries:
+        for d_id in query.demanded:
+            now = instance.pair_latency_vector(query, instance.dataset(d_id))
+            if now.min() > before[query.query_id, d_id]:
+                return query, d_id, float(now.min())
+    return None
+
+
 class TestGenerationInvalidation:
-    def test_gateway_latency_cache_rebuilds(self, small_topology):
+    def test_gateway_fast_reject_reads_recomputed_delays(self, small_topology):
         instance = _serve_instance(small_topology)
+        before = {
+            (q.query_id, d_id): float(
+                instance.pair_latency_vector(q, instance.dataset(d_id)).min()
+            )
+            for q in instance.queries
+            for d_id in q.demanded
+        }
 
         async def scenario():
             async with running_gateway(instance, netfaults=_DENSE) as gateway:
-                query = instance.queries[0]
-                d_id = query.demanded[0]
-                before = gateway._latency_vector(query, d_id)
-                again = gateway._latency_vector(query, d_id)
-                assert again is before  # memoised at generation 0
                 daemon = gateway.netfaults
-                while daemon.link_state.active_faults == 0:
+                slowed = None
+                while slowed is None:
                     report = await daemon.run_cycle(force=True)
                     assert report.applied >= 1
-                after = gateway._latency_vector(query, d_id)
-                assert after is not before
+                    slowed = _slowed_pair(instance, before)
+                query, d_id, after = slowed
+                # A deadline between the pristine and the degraded best
+                # latency: met before the recompute, missed everywhere
+                # after it.
+                mid = (before[query.query_id, d_id] + after) / 2.0
+                probe = _single_pair(query, d_id, mid)
+                assert gateway._deadline_infeasible(probe)
+            # stop() recomputed the paths on the pristine delays.
+            assert instance.paths.generation > 0
+            assert not gateway._deadline_infeasible(probe)
 
         run(scenario())
 
@@ -292,21 +325,19 @@ class TestGenerationInvalidation:
                 (("127.0.0.1", 2), placement[half:]),
             ],
         )
-        query = instance.queries[0]
-        d_id = query.demanded[0]
-        before = router._latency_vector(query, d_id)
-        assert router._latency_vector(query, d_id) is before
+        pristine = [router._route(q) for q in instance.queries]
         degraded = {
             link: delay * 50.0
             for link, delay in instance.topology.link_delays.items()
         }
         instance.paths.recompute(degraded)
-        after = router._latency_vector(query, d_id)
-        assert after is not before
-        assert np.all(after >= before)
-        assert np.any(after > before)
-        # Heal for the session-scoped topology's other consumers.
-        instance.paths.recompute(dict(instance.topology.link_delays))
+        try:
+            rerouted = [router._route(q) for q in instance.queries]
+        finally:
+            # Heal for the session-scoped topology's other consumers.
+            instance.paths.recompute(dict(instance.topology.link_delays))
+        assert rerouted != pristine
+        assert [router._route(q) for q in instance.queries] == pristine
 
 
 class TestMobilityTraceMode:

@@ -368,7 +368,7 @@ class TestPredictProtocol:
                 async with await GatewayClient.connect(host, port) as client:
                     response = await client.predict()
                     assert response["ok"] is False
-                    assert "not enabled" in response["error"]
+                    assert response["error"] == "predictor not enabled"
 
         run(scenario())
 

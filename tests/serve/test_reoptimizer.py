@@ -321,7 +321,7 @@ class TestProtocol:
                 async with await GatewayClient.connect(host, port) as client:
                     response = await client.reopt()
                 assert response["ok"] is False
-                assert "not enabled" in response["error"]
+                assert response["error"] == "re-optimizer not enabled"
                 assert "reopt" not in gateway.status()
 
         run(scenario())

@@ -3,12 +3,14 @@
 Three layers, mirroring the contract in ``docs/performance.md``:
 
 * the batch kernel (:func:`repro.serve.screenpool.screen_rows`) is
-  element-for-element the gateway's original per-pair prefilter;
+  element-for-element ``ClusterState.can_serve_mask(...).any()`` per
+  demanded pair — the mask ``tests/core/test_vector_parity.py`` pins to
+  scalar ``can_serve``;
 * the shared-memory views round-trip arrays consistently under the
   seqlock protocol;
-* a gateway on the ``batch`` engine (inline or pooled) makes the same
-  decisions — and writes the same checkpoints — as the ``legacy``
-  reference.
+* a gateway screening with the kernel (inline or pooled) makes the same
+  decisions — and writes the same checkpoints — as one screening with
+  the ``can_serve_mask`` reference.
 """
 
 import asyncio
@@ -78,14 +80,25 @@ def churn_state(gateway, queries, *, down=()):
         state.mark_down(node)
 
 
+def mask_verdicts(state, queries):
+    """Reference screen: every demanded pair has a servable node."""
+    return [
+        all(
+            state.can_serve_mask(q, state.instance.dataset(d)).any()
+            for d in q.demanded
+        )
+        for q in queries
+    ]
+
+
 class TestKernelParity:
-    """screen_rows == AdmissionGateway._prefilter, bit for bit."""
+    """screen_rows == ClusterState.can_serve_mask, verdict for verdict."""
 
     def _assert_parity(self, gateway, queries):
         statics = ScreenStatics.from_instance(gateway.instance)
         batch = [SimpleNamespace(query=q) for q in queries]
         available = gateway.state.available_array()
-        expected = gateway._prefilter(batch, available)
+        expected = mask_verdicts(gateway.state, queries)
         rows = build_rows(queries, statics)
         view = snapshot_state(gateway.state, statics)
         np.testing.assert_array_equal(view.free_ghz, available)
@@ -109,6 +122,17 @@ class TestKernelParity:
             screen_instance.queries[:40],
             down=screen_instance.placement_nodes[:2],
         )
+        self._assert_parity(gateway, list(screen_instance.queries))
+
+    def test_dataset_without_live_copy(self, screen_instance):
+        gateway = AdmissionGateway(screen_instance)
+        # The only copy (the origin) of a demanded dataset goes down: idle
+        # up nodes have room for a replica but nothing to clone it from,
+        # so no pair of that dataset may pass.
+        state = gateway.state
+        d_id = screen_instance.queries[0].demanded[0]
+        churn_state(gateway, (), down=sorted(state.replicas.nodes(d_id)))
+        assert not state.has_live_copy(d_id)
         self._assert_parity(gateway, list(screen_instance.queries))
 
     def test_exhausted_slots_gate(self, screen_instance):
@@ -262,20 +286,21 @@ class TestScreenPool:
             pool.screen(rows, 0)
 
 
-class TestConfig:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValidationError, match="screen_engine"):
-            GatewayConfig(screen_engine="turbo")
+async def drive(
+    instance, n_queries, *, seed=13, fail_at=None, reference=False, **config
+):
+    """Run one gateway scenario; returns (responses, checkpoint dict).
 
-    def test_legacy_engine_refuses_pool(self):
-        with pytest.raises(ValidationError, match="batch"):
-            GatewayConfig(screen_engine="legacy", screen_workers=4)
-
-
-async def drive(instance, n_queries, *, seed=13, fail_at=None, **config):
-    """Run one gateway scenario; returns (responses, checkpoint dict)."""
+    ``reference`` swaps the batch screen for :func:`mask_verdicts`.
+    """
     responses = []
     async with running_gateway(instance, hold_factor=50.0, **config) as gateway:
+        if reference:
+
+            async def reference_screen(batch):
+                return mask_verdicts(gateway.state, [p.query for p in batch])
+
+            gateway._screen = reference_screen
         host, port = gateway.address
         factory = QueryFactory(instance, seed=seed)
         async with await GatewayClient.connect(host, port) as client:
@@ -289,23 +314,22 @@ async def drive(instance, n_queries, *, seed=13, fail_at=None, **config):
 
 
 class TestGoldenParity:
-    """batch engine == legacy engine, decisions and checkpoints alike."""
+    """kernel screen == can_serve_mask screen, decisions and checkpoints
+    alike."""
 
     def test_batch_engine_is_decision_identical(self, screen_instance):
-        legacy = run(drive(screen_instance, 60, screen_engine="legacy"))
-        batch = run(drive(screen_instance, 60, screen_engine="batch"))
-        assert json.dumps(batch[0]) == json.dumps(legacy[0])
-        assert json.dumps(batch[1]) == json.dumps(legacy[1])
+        reference = run(drive(screen_instance, 60, reference=True))
+        batch = run(drive(screen_instance, 60))
+        assert json.dumps(batch[0]) == json.dumps(reference[0])
+        assert json.dumps(batch[1]) == json.dumps(reference[1])
 
     def test_parity_survives_faults(self, screen_instance):
-        legacy = run(
-            drive(screen_instance, 60, fail_at=25, screen_engine="legacy")
+        reference = run(
+            drive(screen_instance, 60, fail_at=25, reference=True)
         )
-        batch = run(
-            drive(screen_instance, 60, fail_at=25, screen_engine="batch")
-        )
-        assert json.dumps(batch[0]) == json.dumps(legacy[0])
-        assert json.dumps(batch[1]) == json.dumps(legacy[1])
+        batch = run(drive(screen_instance, 60, fail_at=25))
+        assert json.dumps(batch[0]) == json.dumps(reference[0])
+        assert json.dumps(batch[1]) == json.dumps(reference[1])
 
     def test_pooled_engine_matches_decisions(self, screen_instance):
         inline = run(drive(screen_instance, 50, screen_workers=1))
@@ -331,10 +355,9 @@ class TestStaleRescreen:
 
                 gateway._pool.screen = always_stale
                 batch = [SimpleNamespace(query=q) for q in queries]
-                available = gateway.state.available_array()
-                verdict = await gateway._screen(batch, available)
+                verdict = await gateway._screen(batch)
                 # Inline fallback still produced the exact screen.
-                assert verdict == gateway._prefilter(batch, available)
+                assert verdict == mask_verdicts(gateway.state, queries)
                 assert gateway.screen_stale_rescreens == _MAX_RESCREENS
 
         run(scenario())
@@ -364,7 +387,6 @@ class TestStatusScreenPayload:
                         await client.submit(factory.make())
                     status = await client.status()
                 screen = status["screen"]
-                assert screen["engine"] == "batch"
                 assert screen["workers"] == 1
                 assert screen["screen_s"]["count"] > 0
                 assert screen["commit_s"]["count"] > 0
@@ -379,7 +401,7 @@ class TestStatusScreenPayload:
                 assert sum(hist["counts"]) == batched > 0
                 assert hist["p50_s"] is not None
                 rendered = GatewayClient.render_status(status)
-                assert "engine=batch" in rendered
+                assert "screen: workers=1" in rendered
                 assert "admission latency" in rendered
 
         run(scenario())

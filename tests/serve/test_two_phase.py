@@ -41,10 +41,10 @@ def make_shard_gateways(instance, num_shards=2):
 
 def reservable_query(gateway, instance):
     """First workload query the shard can actually reserve in full."""
+    state = gateway.state
     for query in instance.queries:
-        available = gateway.state.available_array()
         if all(
-            gateway._probe_mask(query, d_id, available).any()
+            state.can_serve_mask(query, instance.dataset(d_id)).any()
             for d_id in query.demanded
         ):
             return query
